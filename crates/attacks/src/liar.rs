@@ -69,20 +69,18 @@ impl LiarPolicy {
     /// nodes forward the abstention; liars convert it into whatever serves
     /// them: a cover-up answers `true`, an inverter asserts the opposite of
     /// the most likely truth (`false` knowledge ⇒ claim `true`).
-    ///
-    /// `rng` may be `None` when [`LiarPolicy::draws_rng`] is `false`; the
-    /// caller keeps its deterministic RNG untouched for rng-free policies so
-    /// the sharded engine can run the answering callback without RNG access.
+    /// Only a probabilistic policy draws from `rng`; every other policy
+    /// leaves it untouched.
     ///
     /// # Panics
     ///
-    /// Panics if a probabilistic policy is asked to answer without an RNG,
-    /// or carries a probability outside `[0, 1]`.
+    /// Panics if a probabilistic policy carries a probability outside
+    /// `[0, 1]`.
     pub fn answer_opt(
         &self,
         truthful: Option<bool>,
         suspect: NodeId,
-        rng: Option<&mut StdRng>,
+        rng: &mut StdRng,
     ) -> Option<bool> {
         match self {
             LiarPolicy::Honest => truthful,
@@ -96,7 +94,6 @@ impl LiarPolicy {
             }
             LiarPolicy::Probabilistic { probability } => {
                 assert!((0.0..=1.0).contains(probability), "lie probability must be in [0,1]");
-                let rng = rng.expect("probabilistic liar needs an RNG");
                 if rng.random_bool(*probability) {
                     Some(!truthful.unwrap_or(false))
                 } else {
@@ -104,14 +101,6 @@ impl LiarPolicy {
                 }
             }
         }
-    }
-
-    /// `true` for the policies whose answers consume the deterministic RNG
-    /// stream. The detector consults this before touching [`rand`] state so
-    /// that rng-free policies keep its receive path eligible for parallel
-    /// (sharded) execution.
-    pub fn draws_rng(&self) -> bool {
-        matches!(self, LiarPolicy::Probabilistic { .. })
     }
 
     /// `true` for any policy that can produce false answers.
@@ -124,7 +113,7 @@ impl LiarPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(5)
@@ -181,27 +170,39 @@ mod tests {
         let _ = LiarPolicy::Probabilistic { probability: 2.0 }.answer(true, NodeId(1), &mut r);
     }
 
+    /// Asserts that `used` was never drawn from: its next output matches
+    /// that of an `untouched` clone taken before the calls under test.
+    fn assert_no_draws(mut used: StdRng, mut untouched: StdRng) {
+        assert_eq!(used.next_u64(), untouched.next_u64(), "policy drew from the RNG");
+    }
+
     #[test]
     fn answer_opt_honest_preserves_abstention() {
         let mut r = rng();
-        assert_eq!(LiarPolicy::Honest.answer_opt(None, NodeId(1), Some(&mut r)), None);
-        assert_eq!(LiarPolicy::Honest.answer_opt(Some(false), NodeId(1), None), Some(false));
+        let untouched = r.clone();
+        assert_eq!(LiarPolicy::Honest.answer_opt(None, NodeId(1), &mut r), None);
+        assert_eq!(LiarPolicy::Honest.answer_opt(Some(false), NodeId(1), &mut r), Some(false));
+        assert_no_draws(r, untouched);
     }
 
     #[test]
     fn answer_opt_cover_overrides_abstention_for_accomplice() {
         let policy = LiarPolicy::CoverFor { accomplices: vec![NodeId(7)] };
         let mut r = rng();
-        assert_eq!(policy.answer_opt(None, NodeId(7), Some(&mut r)), Some(true));
-        assert_eq!(policy.answer_opt(Some(false), NodeId(7), None), Some(true));
+        let untouched = r.clone();
+        assert_eq!(policy.answer_opt(None, NodeId(7), &mut r), Some(true));
+        assert_eq!(policy.answer_opt(Some(false), NodeId(7), &mut r), Some(true));
         // Still honest about strangers, including their abstentions.
-        assert_eq!(policy.answer_opt(None, NodeId(8), None), None);
+        assert_eq!(policy.answer_opt(None, NodeId(8), &mut r), None);
+        assert_no_draws(r, untouched);
     }
 
     #[test]
     fn answer_opt_always_lie_asserts() {
         let mut r = rng();
-        assert_eq!(LiarPolicy::AlwaysLie.answer_opt(None, NodeId(1), Some(&mut r)), Some(true));
-        assert_eq!(LiarPolicy::AlwaysLie.answer_opt(Some(true), NodeId(1), None), Some(false));
+        let untouched = r.clone();
+        assert_eq!(LiarPolicy::AlwaysLie.answer_opt(None, NodeId(1), &mut r), Some(true));
+        assert_eq!(LiarPolicy::AlwaysLie.answer_opt(Some(true), NodeId(1), &mut r), Some(false));
+        assert_no_draws(r, untouched);
     }
 }

@@ -4,13 +4,12 @@
 //! from one region so as to replay it in another region".
 //!
 //! The out-of-band channel is modelled as a pair of shared queues
-//! (`Arc<Mutex<…>>` — applications must be `Send` so the sharded engine can
-//! ship them between worker threads, and wormholes never declare themselves
-//! [`Application::rng_free`], so their callbacks always run on the serial
-//! replay path in a deterministic order); each
-//! endpoint drains its inbound queue on a fast timer and re-broadcasts the
-//! tunnelled frames unchanged, keeping the original originators — exactly
-//! the "invisible" variant the paper describes.
+//! (`Arc<Mutex<…>>`, since applications must be `Send`). The engine runs
+//! every callback on one thread in `(time, seq)` order, so the queues fill
+//! and drain in a deterministic order. Each endpoint drains its inbound
+//! queue on a fast timer and re-broadcasts the tunnelled frames unchanged,
+//! keeping the original originators — exactly the "invisible" variant the
+//! paper describes.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

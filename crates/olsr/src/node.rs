@@ -10,9 +10,7 @@
 
 use bytes::Bytes;
 use rand::RngExt;
-use trustlink_sim::{
-    Application, CallbackClass, Context, FloodStats, FrameBatch, NodeId, SimTime, TimerToken,
-};
+use trustlink_sim::{Application, Context, FloodStats, FrameBatch, NodeId, SimTime, TimerToken};
 
 use crate::hooks::{NoHooks, OlsrHooks};
 use crate::logging::{LogRecord, MessageKind, SuppressReason};
@@ -1211,18 +1209,6 @@ impl<H: OlsrHooks> Application for OlsrNode<H> {
             self.handle_frame_view(ctx, from, &payload, &mut arena);
         }
         self.decode_arena = arena;
-    }
-
-    fn rng_free(&self, class: CallbackClass) -> bool {
-        match class {
-            // `on_start` staggers HELLO/TC timers from the engine stream.
-            CallbackClass::Start => false,
-            // Receive and timer paths never draw, and hooks cannot: the
-            // `OlsrHooks` methods take no `Context`, so the whole protocol
-            // machine is deterministic given its inputs. This is what lets
-            // the sharded engine run OLSR traffic off the main thread.
-            CallbackClass::Receive | CallbackClass::Timer => true,
-        }
     }
 }
 

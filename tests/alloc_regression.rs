@@ -14,23 +14,51 @@
 //! the guard measures the *engine's* steady state, not the protocol's.
 //! A second guard pins the `neighbors_in_range_into` query: range queries
 //! into a caller-owned buffer must not allocate either.
+//!
+//! The count is thread-scoped: only allocations made by the measuring
+//! thread inside its measured region are counted, so test threads running
+//! in parallel cannot leak allocations into each other's windows.
 #![allow(unsafe_code)] // the counting global allocator is the whole point
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use trustlink_sim::prelude::*;
 use trustlink_sim::{topologies, Application, TimerToken};
 
-struct Counting;
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Set while this thread runs a region passed to [`allocs_during`].
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// Allocator calls this thread made while `MEASURING` was set. Both
+    /// cells are const-initialized and need no destructor, so touching
+    /// them from inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump;
+fn count_alloc() {
+    if MEASURING.with(Cell::get) {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+/// Runs `f` and returns its result with the number of allocator calls
+/// (`alloc` and `realloc`) it made on the calling thread.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|c| c.set(0));
+    MEASURING.with(|m| m.set(true));
+    let out = f();
+    MEASURING.with(|m| m.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
+
+struct Counting;
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump;
 // every allocator contract obligation is `System`'s own.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: caller upholds `alloc`'s contract; forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -41,7 +69,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: caller upholds `realloc`'s contract; forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -97,9 +125,7 @@ fn steady_state_batched_delivery_allocates_nothing() {
     sim.run_for(SimDuration::from_secs(5));
     let delivered_before: u64 = (0..n).map(|i| sim.stats().node(NodeId(i as u32)).received).sum();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    sim.run_for(SimDuration::from_secs(5));
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let ((), during) = allocs_during(|| sim.run_for(SimDuration::from_secs(5)));
 
     let delivered: u64 =
         (0..n).map(|i| sim.stats().node(NodeId(i as u32)).received).sum::<u64>() - delivered_before;
@@ -138,15 +164,16 @@ fn neighbor_queries_into_a_buffer_allocate_nothing() {
         sim.neighbors_in_range_into(NodeId(i as u32), &mut buf);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let mut total = 0usize;
-    for _ in 0..16 {
-        for i in 0..n {
-            sim.neighbors_in_range_into(NodeId(i as u32), &mut buf);
-            total += buf.len();
+    let (total, during) = allocs_during(|| {
+        let mut total = 0usize;
+        for _ in 0..16 {
+            for i in 0..n {
+                sim.neighbors_in_range_into(NodeId(i as u32), &mut buf);
+                total += buf.len();
+            }
         }
-    }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+        total
+    });
 
     assert!(total > 10_000, "mesh too sparse to be meaningful: {total} neighbor hits");
     assert_eq!(
