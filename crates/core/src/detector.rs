@@ -29,7 +29,6 @@ use trustlink_ids::signature::{SignatureEngine, SignatureMatch};
 use trustlink_olsr::hooks::{NoHooks, OlsrHooks};
 use trustlink_olsr::node::OlsrNode;
 use trustlink_olsr::types::OlsrConfig;
-use trustlink_sim::record::LogRecord;
 use trustlink_sim::{Application, Context, NodeId, SimDuration, SimTime, TimerToken};
 use trustlink_trust::aggregate::{
     answered_samples, detection_value, stability_weighted_detection_value,
@@ -358,16 +357,12 @@ impl<H: OlsrHooks> DetectorNode<H> {
         self.olsr.refresh(ctx);
         // 1. Tail our own audit log — typed records straight into the
         // extractor, no text round-trip.
-        let new_records: Vec<(SimTime, LogRecord)> = {
-            let (records, next) = ctx.log_buffer().read_from(self.cursor);
-            let owned = records.to_vec();
-            self.cursor = next;
-            owned
-        };
         let mut events: Vec<DetectionEvent> = Vec::new();
-        for (at, record) in &new_records {
+        let (records, next) = ctx.log_buffer().read_from(self.cursor);
+        for (at, record) in records {
             events.extend(self.extractor.ingest_record(*at, record));
         }
+        self.cursor = next;
         // 2. Periodic checks (E3, TC silence). The silence allowance keys
         // off the scoped emission schedule: under fisheye flooding an MPR
         // legitimately skips 1-hop-audible TC slots when no ring is due
@@ -560,10 +555,11 @@ impl<H: OlsrHooks> DetectorNode<H> {
                 witnesses.iter().map(|&w| self.stability_of(w, ctx.now())).collect::<Vec<_>>();
             case = case.with_witness_stability(snapshot);
         }
-        let req = InvestigationMessage::VerifyLinkRequest { case: case.case, suspect, contested };
+        let req = InvestigationMessage::VerifyLinkRequest { case: case.case, suspect, contested }
+            .encode();
         for &w in &witnesses {
             // Route around the suspect, per Algorithm 1.
-            self.olsr.send_data(ctx, w, req.encode(), Some(suspect));
+            self.olsr.send_data(ctx, w, req.clone(), Some(suspect));
         }
         self.cases.push(case);
     }
@@ -790,16 +786,16 @@ impl<H: OlsrHooks> DetectorNode<H> {
     fn verify_link(&self, suspect: NodeId, contested: NodeId, now: SimTime) -> Option<bool> {
         let me = self.olsr.id();
         if contested == me {
-            let holds = self.olsr.symmetric_neighbors(now).contains(&suspect);
+            let holds = self.olsr.is_symmetric_neighbor(suspect, now);
             if !holds && self.recently_flapped(suspect, now) {
                 return None; // I just lost that link myself: churn, not spoofing
             }
             return Some(holds);
         }
-        if self.olsr.symmetric_neighbors(now).contains(&contested) {
+        if self.olsr.is_symmetric_neighbor(contested, now) {
             // I hear the contested node's own HELLOs: does *it* claim the
             // suspect as a symmetric neighbor?
-            let claims = self.olsr.two_hop_set().reachable_via(contested, now).contains(&suspect);
+            let claims = self.olsr.two_hop_set().iter_via(contested, now).any(|x| x == suspect);
             if !claims
                 && (self.recently_lost_two_hop(contested, suspect, now)
                     || self.recently_flapped(contested, now))
@@ -810,7 +806,7 @@ impl<H: OlsrHooks> DetectorNode<H> {
         }
         // Corroboration through anyone other than the suspect?
         let via_other =
-            self.olsr.two_hop_set().vias_for(contested, now).into_iter().any(|v| v != suspect);
+            self.olsr.two_hop_set().iter(now).any(|t| t.two_hop == contested && t.via != suspect);
         let in_topology = self
             .olsr
             .topology_set()

@@ -74,6 +74,50 @@ pub struct RecomputeStats {
     pub mpr_runs: u64,
     /// Times the routing BFS actually executed.
     pub route_runs: u64,
+    /// Suspect-avoiding next-hop lookups (investigation traffic sent or
+    /// forwarded around a node).
+    pub detour_queries: u64,
+    /// Times a suspect-avoiding BFS actually executed: detour lookups that
+    /// missed the per-epoch cache.
+    pub detour_runs: u64,
+}
+
+/// Suspect-avoiding routing tables computed since the routing BFS last
+/// ran, keyed by the avoided node.
+///
+/// A detour table is a pure function of the same inputs as the main
+/// table (symmetric neighbors, 2-hop set, topology set), and those change
+/// only where [`OlsrNode::ensure_fresh`] reruns the main BFS. Clearing the
+/// cache at exactly that point therefore makes every hit equal to what
+/// [`RoutingTable::compute_avoiding`] would return at the lookup instant.
+/// Slots are recycled across epochs, so a warm miss allocates nothing.
+#[derive(Debug, Default)]
+struct DetourCache {
+    /// The first `live` slots hold this epoch's tables; the rest keep
+    /// their allocations for reuse.
+    slots: Vec<(NodeId, RoutingTable)>,
+    live: usize,
+}
+
+impl DetourCache {
+    fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    fn position(&self, avoided: NodeId) -> Option<usize> {
+        self.slots[..self.live].iter().position(|(a, _)| *a == avoided)
+    }
+
+    /// Claims a slot for `avoided` in this epoch; the caller refills its
+    /// table, which keeps the capacity of the slot's previous tenant.
+    fn claim(&mut self, avoided: NodeId) -> usize {
+        if self.live == self.slots.len() {
+            self.slots.push((avoided, RoutingTable::default()));
+        }
+        self.slots[self.live].0 = avoided;
+        self.live += 1;
+        self.live - 1
+    }
 }
 
 /// A unicast data payload delivered to this node.
@@ -158,6 +202,8 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     route_ws: RoutingWorkspace,
     /// Reused routing-table double buffer, swapped with `routes` on change.
     routes_scratch: RoutingTable,
+    /// Suspect-avoiding tables of the current routing epoch.
+    detours: DetourCache,
 }
 
 impl OlsrNode<NoHooks> {
@@ -211,6 +257,7 @@ impl<H: OlsrHooks> OlsrNode<H> {
             sym_scratch: Vec::new(),
             route_ws: RoutingWorkspace::default(),
             routes_scratch: RoutingTable::default(),
+            detours: DetourCache::default(),
         }
     }
 
@@ -239,6 +286,12 @@ impl<H: OlsrHooks> OlsrNode<H> {
     /// Symmetric 1-hop neighbors at `now`, ascending.
     pub fn symmetric_neighbors(&self, now: SimTime) -> Vec<NodeId> {
         self.links.symmetric_neighbors(now)
+    }
+
+    /// `true` when `neighbor` is a symmetric 1-hop neighbor at `now`: the
+    /// allocation-free form of `symmetric_neighbors(now).contains(…)`.
+    pub fn is_symmetric_neighbor(&self, neighbor: NodeId, now: SimTime) -> bool {
+        self.links.is_symmetric(neighbor, now)
     }
 
     /// The current MPR set (ascending).
@@ -577,26 +630,54 @@ impl<H: OlsrHooks> OlsrNode<H> {
         true
     }
 
+    /// The next hop toward `dst`, routing around `avoid` when set. Callers
+    /// run [`ensure_fresh`](Self::ensure_fresh) at the same instant first,
+    /// which is what makes a cached detour table current.
     fn next_hop_for(&mut self, dst: NodeId, avoid: Option<NodeId>, now: SimTime) -> Option<NodeId> {
-        match avoid {
-            None => self.routes.next_hop(dst),
-            Some(avoided) => {
-                if dst == avoided {
-                    return None;
-                }
-                let sym = self.links.symmetric_neighbors(now);
-                RoutingTable::compute_avoiding_with(
+        let Some(avoided) = avoid else {
+            return self.routes.next_hop(dst);
+        };
+        if dst == avoided {
+            return None;
+        }
+        debug_assert!(!self.flags.any(), "detour lookup on stale routing inputs");
+        self.stats.detour_queries += 1;
+        let slot = match self.detours.position(avoided) {
+            Some(slot) => slot,
+            None => {
+                self.stats.detour_runs += 1;
+                let slot = self.detours.claim(avoided);
+                RoutingTable::compute_avoiding_into(
                     &mut self.route_ws,
+                    &mut self.detours.slots[slot].1,
                     self.id,
-                    &sym,
+                    &self.prev_sym,
                     &self.two_hop,
                     &self.topology,
                     now,
                     Some(avoided),
-                )
-                .next_hop(dst)
+                );
+                slot
             }
+        };
+        let table = &self.detours.slots[slot].1;
+        // Debug builds check every lookup against an uncached computation
+        // from the live repositories: the invalidation rule and the
+        // `prev_sym` stand-in for `symmetric_neighbors(now)` both hold.
+        #[cfg(debug_assertions)]
+        {
+            let sym = self.links.symmetric_neighbors(now);
+            let fresh = RoutingTable::compute_avoiding(
+                self.id,
+                &sym,
+                &self.two_hop,
+                &self.topology,
+                now,
+                Some(avoided),
+            );
+            debug_assert_eq!(*table, fresh, "cached detour around {avoided} is stale");
         }
+        table.next_hop(dst)
     }
 
     // ---- reception ------------------------------------------------------
@@ -1118,9 +1199,11 @@ impl<H: OlsrHooks> OlsrNode<H> {
         }
 
         // Routing table: only when the neighborhood or the topology
-        // changed (same exactness argument).
+        // changed (same exactness argument). Detour tables read the same
+        // inputs, so this is also where they go stale.
         if nbr_changed || topo_changed {
             self.stats.route_runs += 1;
+            self.detours.clear();
             RoutingTable::compute_avoiding_into(
                 &mut self.route_ws,
                 &mut self.routes_scratch,
@@ -1611,5 +1694,105 @@ mod tests {
         assert_eq!(next, Some(NodeId(2)));
         let next_none = a.next_hop_for(NodeId(1), Some(NodeId(1)), now);
         assert_eq!(next_none, None, "cannot route to the avoided node");
+    }
+
+    const TIMER_PROBE: TimerToken = TimerToken(TIMER_USER_BASE);
+
+    /// An [`OlsrNode`] that, once a second, sends two datagrams to `dst`
+    /// around `avoid` at the same instant, as an investigation's requests
+    /// do: the second lookup of each pair must hit the detour cache.
+    struct DetourProber {
+        olsr: OlsrNode,
+        dst: NodeId,
+        avoid: NodeId,
+    }
+
+    impl Application for DetourProber {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.olsr.on_start(ctx);
+            ctx.set_timer(SimDuration::from_secs(1), TIMER_PROBE);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+            if timer == TIMER_PROBE {
+                for _ in 0..2 {
+                    self.olsr.send_data(ctx, self.dst, Bytes::new(), Some(self.avoid));
+                }
+                ctx.set_timer(SimDuration::from_secs(1), TIMER_PROBE);
+            } else {
+                self.olsr.on_timer(ctx, timer);
+            }
+        }
+
+        fn on_receive(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+            self.olsr.on_receive(ctx, from, payload);
+        }
+    }
+
+    /// Next hops of N0's `DataTx` records to `dst` at or after `since`.
+    fn detour_hops(sim: &trustlink_sim::Simulator, dst: NodeId, since: SimTime) -> Vec<NodeId> {
+        sim.log(NodeId(0))
+            .entries()
+            .iter()
+            .filter(|(at, _)| *at >= since)
+            .filter_map(|(_, r)| match r {
+                LogRecord::DataTx { dst: d, next_hop } if *d == dst => Some(*next_hop),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_detour_follows_topology_change() {
+        // 0 reaches 3 through 1, 2 or 4; avoiding 1, BFS order picks 2.
+        // Moving 2 out of range must move the detour to 4 once N0 drops
+        // the link, although the table around 1 was cached before.
+        let mut sim = SimulatorBuilder::new(43)
+            .radio(RadioConfig::unit_disk(110.0))
+            .arena(trustlink_sim::Arena::new(10_000.0, 10_000.0))
+            .build();
+        let positions = [
+            Position::new(0.0, 100.0),   // 0: the prober
+            Position::new(80.0, 160.0),  // 1: the avoided node
+            Position::new(80.0, 40.0),   // 2: first detour
+            Position::new(160.0, 100.0), // 3: destination
+            Position::new(80.0, 100.0),  // 4: second detour
+        ];
+        let (dst, avoid) = (NodeId(3), NodeId(1));
+        for (i, p) in positions.into_iter().enumerate() {
+            let olsr = OlsrNode::new(OlsrConfig::fast());
+            let app: Box<dyn Application> =
+                if i == 0 { Box::new(DetourProber { olsr, dst, avoid }) } else { Box::new(olsr) };
+            sim.add_node(app, p);
+        }
+        sim.run_for(SimDuration::from_secs(20));
+        let warm = SimTime::from_secs(10);
+        let before = detour_hops(&sim, dst, warm);
+        assert!(!before.is_empty());
+        assert!(before.iter().all(|&h| h == NodeId(2)), "converged detour: {before:?}");
+        let stats = sim.app_as::<DetourProber>(NodeId(0)).unwrap().olsr.recompute_stats();
+        assert!(
+            stats.detour_runs > 0 && stats.detour_runs < stats.detour_queries,
+            "the second lookup of each pair must hit: {stats:?}"
+        );
+
+        sim.set_position(NodeId(2), Position::new(5_000.0, 5_000.0));
+        let moved = sim.now();
+        sim.run_for(SimDuration::from_secs(20));
+        let now = sim.now();
+        let prober = &sim.app_as::<DetourProber>(NodeId(0)).unwrap().olsr;
+        assert_eq!(prober.symmetric_neighbors(now), vec![NodeId(1), NodeId(4)]);
+        let fresh = RoutingTable::compute_avoiding(
+            NodeId(0),
+            &prober.symmetric_neighbors(now),
+            prober.two_hop_set(),
+            prober.topology_set(),
+            now,
+            Some(avoid),
+        );
+        assert_eq!(fresh.next_hop(dst), Some(NodeId(4)));
+        let after = detour_hops(&sim, dst, moved);
+        assert_eq!(after.last(), Some(&NodeId(4)), "stale detour after the move: {after:?}");
+        assert!(prober.recompute_stats().detour_runs > stats.detour_runs);
     }
 }

@@ -17,13 +17,13 @@ use crate::state::{TopologySet, TwoHopSet};
 /// Unvisited marker in the BFS distance array.
 const UNVISITED: u32 = u32::MAX;
 
-/// Reusable scratch state for [`RoutingTable::compute_with`].
+/// Reusable scratch state for [`RoutingTable::compute_avoiding_into`].
 ///
 /// Route calculation runs after every topology-changing packet; the
 /// original implementation rebuilt `BTreeMap` adjacency and BFS state per
 /// call. The workspace keeps dense per-node-id buffers (node ids are
-/// small `u32`s) that survive across recomputations, so the steady-state
-/// path allocates only the resulting table.
+/// small `u32`s) that survive across recomputations, so a warm
+/// recomputation into a reused table allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingWorkspace {
     /// Adjacency lists indexed by node id; cleared (capacity kept) after
@@ -114,38 +114,9 @@ impl RoutingTable {
         now: SimTime,
         avoid: Option<NodeId>,
     ) -> Self {
-        let mut ws = RoutingWorkspace::default();
-        Self::compute_avoiding_with(&mut ws, me, symmetric_neighbors, two_hop, topology, now, avoid)
-    }
-
-    /// [`RoutingTable::compute`] through a caller-owned workspace: every
-    /// scratch structure is reused, so the only allocation in steady
-    /// state is the returned table itself. Results are identical to
-    /// [`RoutingTable::compute`] for every input.
-    pub fn compute_with(
-        ws: &mut RoutingWorkspace,
-        me: NodeId,
-        symmetric_neighbors: &[NodeId],
-        two_hop: &TwoHopSet,
-        topology: &TopologySet,
-        now: SimTime,
-    ) -> Self {
-        Self::compute_avoiding_with(ws, me, symmetric_neighbors, two_hop, topology, now, None)
-    }
-
-    /// Workspace-reusing form of [`RoutingTable::compute_avoiding`].
-    pub fn compute_avoiding_with(
-        ws: &mut RoutingWorkspace,
-        me: NodeId,
-        symmetric_neighbors: &[NodeId],
-        two_hop: &TwoHopSet,
-        topology: &TopologySet,
-        now: SimTime,
-        avoid: Option<NodeId>,
-    ) -> Self {
         let mut out = RoutingTable::default();
         Self::compute_avoiding_into(
-            ws,
+            &mut RoutingWorkspace::default(),
             &mut out,
             me,
             symmetric_neighbors,
@@ -494,9 +465,11 @@ mod tests {
             (&sym_big, &big, None),
             (&sym_small, &small, Some(NodeId(1))),
         ];
+        let mut reused = RoutingTable::default();
         for (sym, topo, avoid) in runs {
-            let reused = RoutingTable::compute_avoiding_with(
+            RoutingTable::compute_avoiding_into(
                 &mut ws,
+                &mut reused,
                 NodeId(0),
                 sym,
                 &no2h(),

@@ -54,6 +54,29 @@ fn phantom_spoofer_detected_from_centre() {
 }
 
 #[test]
+fn investigation_detours_reuse_cached_routes() {
+    // Every witness request and answer routes around the suspect. A node
+    // computes its table around one suspect once per routing epoch and
+    // reuses it, so suspect-avoiding lookups outnumber their BFS runs.
+    let report = ScenarioBuilder::new(202, 9)
+        .topology(Topology::Grid { cols: 3, spacing: 100.0 })
+        .detector(fast_detector())
+        .attacker(4, spoof_phantom(77))
+        .duration(SimDuration::from_secs(90))
+        .run();
+    assert!(report.detected(NodeId(4)));
+    let (mut queries, mut runs) = (0u64, 0u64);
+    for id in report.sim.node_ids().collect::<Vec<_>>() {
+        if let Some(d) = report.sim.app_as::<trustlink_core::DetectorNode>(id) {
+            let stats = d.olsr().recompute_stats();
+            queries += stats.detour_queries;
+            runs += stats.detour_runs;
+        }
+    }
+    assert!(runs > 0 && runs < queries, "detour BFS runs {runs} for {queries} lookups");
+}
+
+#[test]
 fn existing_non_neighbor_claim_detected() {
     // Attacker in one corner of a 3x3 grid claims adjacency with the node
     // in the opposite corner (Expression (2): an existing non-neighbor).
