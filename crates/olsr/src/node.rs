@@ -19,7 +19,7 @@ use crate::message::{
     NeighborType, Packet, TcMessage,
 };
 use crate::mpr::{CandidatePool, MprWorkspace};
-use crate::routing::{RoutingTable, RoutingWorkspace};
+use crate::routing::RoutingTable;
 use crate::state::{
     DupProbe, DuplicateSet, InterfaceAssociationSet, LinkSet, LinkStatus, LinkTuple,
     MprSelectorSet, NeighborSet, TopologySet, TwoHopSet,
@@ -198,8 +198,6 @@ pub struct OlsrNode<H: OlsrHooks = NoHooks> {
     targets_scratch: Vec<NodeId>,
     /// Reused symmetric-neighbor buffer, swapped with `prev_sym` on flush.
     sym_scratch: Vec<NodeId>,
-    /// Reused route-calculation scratch (see [`RoutingWorkspace`]).
-    route_ws: RoutingWorkspace,
     /// Reused routing-table double buffer, swapped with `routes` on change.
     routes_scratch: RoutingTable,
     /// Suspect-avoiding tables of the current routing epoch.
@@ -255,7 +253,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
             mpr_scratch: Vec::new(),
             targets_scratch: Vec::new(),
             sym_scratch: Vec::new(),
-            route_ws: RoutingWorkspace::default(),
             routes_scratch: RoutingTable::default(),
             detours: DetourCache::default(),
         }
@@ -648,7 +645,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
                 self.stats.detour_runs += 1;
                 let slot = self.detours.claim(avoided);
                 RoutingTable::compute_avoiding_into(
-                    &mut self.route_ws,
                     &mut self.detours.slots[slot].1,
                     self.id,
                     &self.prev_sym,
@@ -1205,7 +1201,6 @@ impl<H: OlsrHooks> OlsrNode<H> {
             self.stats.route_runs += 1;
             self.detours.clear();
             RoutingTable::compute_avoiding_into(
-                &mut self.route_ws,
                 &mut self.routes_scratch,
                 self.id,
                 &self.prev_sym,

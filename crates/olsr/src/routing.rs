@@ -8,61 +8,237 @@
 //! the graph — the primitive the paper's investigation uses so that
 //! requests/answers "should not go through … the suspicious MPR".
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::hash::{BuildHasher, RandomState};
 
 use trustlink_sim::{NodeId, SimTime};
 
 use crate::state::{TopologySet, TwoHopSet};
 
+thread_local! {
+    /// Route-calculation scratch shared by every node this thread runs.
+    /// Callbacks run one at a time and nothing runs inside the borrow, so
+    /// borrows never nest and one scratch per thread suffices.
+    static SCRATCH: RefCell<RoutingWorkspace> = RefCell::new(RoutingWorkspace::new());
+}
+
 /// Unvisited marker in the BFS distance array.
 const UNVISITED: u32 = u32::MAX;
 
-/// Reusable scratch state for [`RoutingTable::compute_avoiding_into`].
+/// One interner slot; occupied only while `stamp` is the workspace's
+/// current stamp.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    id: u32,
+    local: u32,
+}
+
+/// Route-calculation scratch over compact local ids.
 ///
-/// Route calculation runs after every topology-changing packet; the
-/// original implementation rebuilt `BTreeMap` adjacency and BFS state per
-/// call. The workspace keeps dense per-node-id buffers (node ids are
-/// small `u32`s) that survive across recomputations, so a warm
-/// recomputation into a reused table allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct RoutingWorkspace {
-    /// Adjacency lists indexed by node id; cleared (capacity kept) after
-    /// each computation.
-    adj: Vec<Vec<NodeId>>,
-    /// Ids whose adjacency list is non-empty, for cheap clearing.
-    touched: Vec<u32>,
+/// A computation interns every node id it meets to a local index in
+/// first-seen order (`me` is 0), so each buffer is sized by the ids of
+/// that computation and never by an id's value: ids arrive off the wire
+/// as full 32-bit values chosen by whoever sent the HELLO or TC.
+struct RoutingWorkspace {
+    /// Open-addressing interner. This computation uses the first
+    /// `mask + 1` slots, at least twice the number of ids it can meet;
+    /// bumping `stamp` empties them all at once.
+    slots: Vec<Slot>,
+    mask: usize,
+    stamp: u32,
+    /// Odd multiplier of the multiply-shift hash, drawn once per thread
+    /// so advertised ids cannot be picked to collide.
+    key: u64,
+    shift: u32,
+    /// Local index → node id.
+    ids: Vec<NodeId>,
+    /// Local `(from, to)` edges in push order.
+    edges: Vec<(u32, u32)>,
+    /// CSR adjacency: the out-edges of `u` are
+    /// `targets[offsets[u]..offsets[u + 1]]`, in push order.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
     /// BFS hop counts, [`UNVISITED`] when unreached.
     dist: Vec<u32>,
-    /// First hop toward each reached id.
-    first_hop: Vec<NodeId>,
-    /// BFS frontier.
-    queue: VecDeque<NodeId>,
+    /// First hop (local) toward each reached node.
+    first_hop: Vec<u32>,
+    /// BFS visit order; `queue[0]` is `me`.
+    queue: Vec<u32>,
 }
 
 impl RoutingWorkspace {
-    /// Grows the dense buffers to cover `id`.
-    fn ensure(&mut self, id: NodeId) {
-        let need = id.index() + 1;
-        if self.adj.len() < need {
-            self.adj.resize_with(need, Vec::new);
+    fn new() -> Self {
+        RoutingWorkspace {
+            slots: Vec::new(),
+            mask: 0,
+            stamp: 0,
+            key: RandomState::new().hash_one(0u64) | 1,
+            shift: 63,
+            ids: Vec::new(),
+            edges: Vec::new(),
+            offsets: Vec::new(),
+            targets: Vec::new(),
+            dist: Vec::new(),
+            first_hop: Vec::new(),
+            queue: Vec::new(),
         }
     }
 
-    fn push_edge(&mut self, from: NodeId, to: NodeId) {
-        self.ensure(from);
-        self.ensure(to);
-        let list = &mut self.adj[from.index()];
-        if list.is_empty() {
-            self.touched.push(from.0);
+    /// Starts a computation that meets at most `max_ids` distinct ids and
+    /// pushes at most `max_ids` edges.
+    fn begin(&mut self, max_ids: usize) {
+        // Local indices, edge offsets and hop counts are u32s below UNVISITED.
+        assert!(max_ids < UNVISITED as usize, "route calculation over {max_ids} ids");
+        let cap = (2 * max_ids).next_power_of_two();
+        if self.slots.len() < cap {
+            self.slots.resize(cap, Slot::default());
         }
-        list.push(to);
+        self.mask = cap - 1;
+        self.shift = 64 - cap.trailing_zeros();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: a stale slot could now carry the current stamp.
+            self.slots.iter_mut().for_each(|s| s.stamp = 0);
+            self.stamp = 1;
+        }
+        self.ids.clear();
+        self.edges.clear();
     }
 
-    fn reset_for_next_use(&mut self) {
-        for &t in &self.touched {
-            self.adj[t as usize].clear();
+    /// The local index of `id`, assigning the next one on first sight.
+    fn intern(&mut self, id: NodeId) -> u32 {
+        let mut i = (u64::from(id.0).wrapping_mul(self.key) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.stamp {
+                // `begin` bounds the id count below u32::MAX.
+                let local = self.ids.len() as u32;
+                *slot = Slot { stamp: self.stamp, id: id.0, local };
+                self.ids.push(id);
+                return local;
+            }
+            if slot.id == id.0 {
+                return slot.local;
+            }
+            i = (i + 1) & self.mask;
         }
-        self.touched.clear();
+    }
+
+    /// Interns both endpoints of a learned (non-link-sensed) edge and
+    /// pushes it in both directions, unless it touches `me` or `avoid` or
+    /// is a self-loop. `memo` caches the last `from`, which repeats across
+    /// consecutive tuples of a sorted repository.
+    fn push_relayed(
+        &mut self,
+        memo: &mut (NodeId, u32),
+        me: NodeId,
+        avoid: Option<NodeId>,
+        from: NodeId,
+        to: NodeId,
+    ) {
+        if from == me || to == me || from == to || Some(from) == avoid || Some(to) == avoid {
+            return;
+        }
+        if memo.0 != from {
+            *memo = (from, self.intern(from));
+        }
+        let (a, b) = (memo.1, self.intern(to));
+        self.edges.push((a, b));
+        self.edges.push((b, a));
+    }
+
+    /// Interns the graph: `me → neighbors`, then both directions of every
+    /// live 2-hop pair and topology tuple. Edges *out of* `me` come only
+    /// from link sensing: a forged TC or HELLO mentioning this node must
+    /// never add a first hop that is not a verified symmetric neighbor
+    /// (the RFC's iterative calculation has the same property).
+    fn load(
+        &mut self,
+        me: NodeId,
+        symmetric_neighbors: &[NodeId],
+        two_hop: &TwoHopSet,
+        topology: &TopologySet,
+        now: SimTime,
+        avoid: Option<NodeId>,
+    ) {
+        self.begin(1 + symmetric_neighbors.len() + 2 * (two_hop.len() + topology.len()));
+        // `me` is local 0, the BFS root.
+        let mut memo = (me, self.intern(me));
+        for &n in symmetric_neighbors {
+            if Some(n) != avoid && n != me {
+                let local = self.intern(n);
+                self.edges.push((0, local));
+            }
+        }
+        for pair in two_hop.iter(now) {
+            self.push_relayed(&mut memo, me, avoid, pair.via, pair.two_hop);
+        }
+        // TC edges are advertised by the MPR (last_hop); the RFC treats
+        // them as usable in both directions for route calculation because
+        // MPR selection requires a symmetric link.
+        for t in topology.iter(now) {
+            self.push_relayed(&mut memo, me, avoid, t.last_hop, t.dest);
+        }
+    }
+
+    /// Buckets the edges by source (a stable counting sort, so each
+    /// source keeps its push order), runs the BFS from local 0 and writes
+    /// every reached node but `me` into `out`, sorted by destination.
+    fn bfs_into(&mut self, out: &mut RoutingTable) {
+        let n = self.ids.len();
+        // Counts land at `from + 2`; after the prefix sum `offsets[u + 1]`
+        // is the start of `u`, used as its write cursor, which leaves it
+        // at the end of `u` — the start of `u + 1`.
+        self.offsets.clear();
+        self.offsets.resize(n + 2, 0);
+        for &(from, _) in &self.edges {
+            self.offsets[from as usize + 2] += 1;
+        }
+        for i in 2..n + 2 {
+            self.offsets[i] += self.offsets[i - 1];
+        }
+        self.targets.clear();
+        self.targets.resize(self.edges.len(), 0);
+        for &(from, to) in &self.edges {
+            let cursor = &mut self.offsets[from as usize + 1];
+            self.targets[*cursor as usize] = to;
+            *cursor += 1;
+        }
+
+        self.dist.clear();
+        self.dist.resize(n, UNVISITED);
+        self.first_hop.clear();
+        self.first_hop.resize(n, 0);
+        self.queue.clear();
+        self.dist[0] = 0;
+        self.queue.push(0);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let u = u as usize;
+            let du = self.dist[u];
+            for &v in &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize] {
+                let vi = v as usize;
+                if self.dist[vi] != UNVISITED {
+                    continue;
+                }
+                self.dist[vi] = du + 1;
+                self.first_hop[vi] = if u == 0 { v } else { self.first_hop[u] };
+                self.queue.push(v);
+            }
+        }
+
+        out.routes.clear();
+        out.routes.extend(self.queue[1..].iter().map(|&v| {
+            let v = v as usize;
+            Route {
+                dest: self.ids[v],
+                next_hop: self.ids[self.first_hop[v] as usize],
+                hops: self.dist[v],
+            }
+        }));
+        out.routes.sort_unstable_by_key(|r| r.dest);
     }
 }
 
@@ -79,11 +255,10 @@ pub struct Route {
 
 /// A freshly computed routing table.
 ///
-/// Backed by a `Vec<Route>` sorted by destination (node ids are dense
-/// `u32`s): lookups are binary searches, iteration is a slice walk, and a
-/// table can be recomputed *into* an existing allocation
-/// ([`RoutingTable::compute_avoiding_into`]) so the steady-state recompute
-/// path allocates nothing once warm.
+/// Backed by a `Vec<Route>` sorted by destination: lookups are binary
+/// searches, iteration is a slice walk, and a table can be recomputed
+/// *into* an existing allocation ([`RoutingTable::compute_avoiding_into`])
+/// so the steady-state recompute path allocates nothing once warm.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingTable {
     routes: Vec<Route>, // sorted ascending by dest
@@ -116,7 +291,6 @@ impl RoutingTable {
     ) -> Self {
         let mut out = RoutingTable::default();
         Self::compute_avoiding_into(
-            &mut RoutingWorkspace::default(),
             &mut out,
             me,
             symmetric_neighbors,
@@ -128,13 +302,14 @@ impl RoutingTable {
         out
     }
 
-    /// Fully allocation-free form: the scratch state lives in `ws` and the
-    /// result is written into `out` (cleared first, capacity kept).
-    /// Results are identical to [`RoutingTable::compute_avoiding`] for
-    /// every input.
-    #[allow(clippy::too_many_arguments)]
+    /// Allocation-free once warm: the result is written into `out`
+    /// (cleared first, capacity kept) and the scratch is this thread's
+    /// shared one. Results are identical to
+    /// [`RoutingTable::compute_avoiding`] for every input.
+    ///
+    /// Cost and memory follow the number of ids and edges in the
+    /// computation, whatever the ids' values.
     pub fn compute_avoiding_into(
-        ws: &mut RoutingWorkspace,
         out: &mut RoutingTable,
         me: NodeId,
         symmetric_neighbors: &[NodeId],
@@ -143,80 +318,10 @@ impl RoutingTable {
         now: SimTime,
         avoid: Option<NodeId>,
     ) {
-        // Build adjacency: me -> neighbors, neighbor -> claimed 2-hop,
-        // plus TC-learned topology edges. Edges *out of* `me` come only
-        // from link sensing: a forged TC or HELLO mentioning this node must
-        // never add a first hop that is not a verified symmetric neighbor
-        // (the RFC's iterative calculation has the same property).
-        ws.ensure(me);
-        for &n in symmetric_neighbors {
-            if Some(n) != avoid && n != me {
-                ws.push_edge(me, n);
-            }
-        }
-        for pair in two_hop.iter(now) {
-            if Some(pair.via) == avoid || Some(pair.two_hop) == avoid {
-                continue;
-            }
-            Self::push_relayed(ws, me, pair.via, pair.two_hop);
-            Self::push_relayed(ws, me, pair.two_hop, pair.via);
-        }
-        for t in topology.iter(now) {
-            if Some(t.last_hop) == avoid || Some(t.dest) == avoid {
-                continue;
-            }
-            // TC edges are advertised by the MPR (last_hop); the RFC treats
-            // them as usable in both directions for route calculation
-            // because MPR selection requires a symmetric link.
-            Self::push_relayed(ws, me, t.last_hop, t.dest);
-            Self::push_relayed(ws, me, t.dest, t.last_hop);
-        }
-
-        // BFS from me over dense arrays (node ids are small integers).
-        let n = ws.adj.len();
-        ws.dist.clear();
-        ws.dist.resize(n, UNVISITED);
-        ws.first_hop.clear();
-        ws.first_hop.resize(n, me);
-        ws.queue.clear();
-        ws.dist[me.index()] = 0;
-        ws.queue.push_back(me);
-        while let Some(u) = ws.queue.pop_front() {
-            let du = ws.dist[u.index()];
-            // The adjacency list is moved out during the scan so the BFS
-            // state can be written; edges never target their own source,
-            // so the list cannot be observed empty mid-scan.
-            let nbrs = std::mem::take(&mut ws.adj[u.index()]);
-            for &v in &nbrs {
-                if ws.dist[v.index()] != UNVISITED {
-                    continue;
-                }
-                ws.dist[v.index()] = du + 1;
-                ws.first_hop[v.index()] = if u == me { v } else { ws.first_hop[u.index()] };
-                ws.queue.push_back(v);
-            }
-            ws.adj[u.index()] = nbrs;
-        }
-
-        out.routes.clear();
-        for i in 0..n {
-            let hops = ws.dist[i];
-            let dest = NodeId(i as u32);
-            if hops == UNVISITED || dest == me {
-                continue;
-            }
-            // Ascending `i` keeps the vec sorted by destination.
-            out.routes.push(Route { dest, next_hop: ws.first_hop[i], hops });
-        }
-        ws.reset_for_next_use();
-    }
-
-    /// Adds a learned (non-link-sensed) edge, filtering anything touching
-    /// `me` or degenerate self-loops — the guard the old closure applied.
-    fn push_relayed(ws: &mut RoutingWorkspace, me: NodeId, from: NodeId, to: NodeId) {
-        if from != me && to != me && from != to {
-            ws.push_edge(from, to);
-        }
+        SCRATCH.with_borrow_mut(|ws| {
+            ws.load(me, symmetric_neighbors, two_hop, topology, now, avoid);
+            ws.bfs_into(out);
+        });
     }
 
     /// The route to `dest`, if any.
@@ -449,37 +554,35 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_matches_fresh_computation() {
-        // One workspace driven across different graphs (shrinking and
-        // growing, with and without avoidance) must match the one-shot
-        // API every time.
-        let mut ws = RoutingWorkspace::default();
-        let big = topo_multi(&[(1, &[2, 3]), (2, &[4]), (4, &[3, 5]), (5, &[6])]);
-        let small = topo(&[(1, 2)]);
-        let sym_big = vec![NodeId(1), NodeId(2)];
-        let sym_small = vec![NodeId(1)];
-        let runs: Vec<(&[NodeId], &TopologySet, Option<NodeId>)> = vec![
-            (&sym_big, &big, None),
-            (&sym_small, &small, None),
-            (&sym_big, &big, Some(NodeId(2))),
-            (&sym_big, &big, None),
-            (&sym_small, &small, Some(NodeId(1))),
-        ];
-        let mut reused = RoutingTable::default();
-        for (sym, topo, avoid) in runs {
-            RoutingTable::compute_avoiding_into(
-                &mut ws,
-                &mut reused,
-                NodeId(0),
-                sym,
-                &no2h(),
-                topo,
-                now(),
-                avoid,
-            );
-            let fresh = RoutingTable::compute_avoiding(NodeId(0), sym, &no2h(), topo, now(), avoid);
-            assert_eq!(reused, fresh, "avoid={avoid:?}");
-        }
+    fn hostile_ids_route_in_memory_sized_by_the_graph() {
+        // One forged TC tuple naming an id near u32::MAX must route like any
+        // other id; a scratch indexed by id value could not be allocated.
+        let far = NodeId(u32::MAX - 1);
+        let table =
+            RoutingTable::compute(NodeId(0), &[NodeId(1)], &no2h(), &topo(&[(1, far.0)]), now());
+        assert_eq!(table.route_to(far), Some(&Route { dest: far, next_hop: NodeId(1), hops: 2 }));
+        assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn stamp_wrap_empties_the_interner() {
+        // Listing the neighbors in the other order gives the same ids
+        // other local indices, so a slot from before the wrap that read
+        // as occupied would map an id to a wrong node.
+        let chain: Vec<(u32, u32)> = (1..40).map(|i| (i, i + 1)).collect();
+        let set = topo(&chain);
+        let run = |sym: &[NodeId]| RoutingTable::compute(NodeId(0), sym, &no2h(), &set, now());
+        let (first, second) = ([NodeId(40), NodeId(1)], [NodeId(1), NodeId(40)]);
+        let expected = run(&second);
+        SCRATCH.set(RoutingWorkspace::new());
+        assert_eq!(run(&first), expected);
+        assert_eq!(SCRATCH.with_borrow(|ws| ws.stamp), 1);
+        // Skip to just before the wrap, leaving the stamp-1 slots intact.
+        SCRATCH.with_borrow_mut(|ws| ws.stamp = u32::MAX - 1);
+        assert!(RoutingTable::compute(NodeId(0), &[], &no2h(), &TopologySet::default(), now())
+            .is_empty());
+        assert_eq!(run(&second), expected, "computed across the stamp wrap");
+        assert_eq!(SCRATCH.with_borrow(|ws| ws.stamp), 1);
     }
 
     #[test]

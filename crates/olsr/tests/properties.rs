@@ -1,12 +1,14 @@
 //! Property-based tests for the OLSR substrate: the MPR coverage
-//! invariant, routing loop-freedom, sequence-number arithmetic and the
-//! vtime codec.
+//! invariant, routing loop-freedom and agreement with a reference BFS,
+//! sequence-number arithmetic and the vtime codec.
+
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 
 use trustlink_olsr::message::{decode_vtime, encode_vtime};
 use trustlink_olsr::mpr::{select_mprs, uncovered_targets, MprCandidate};
-use trustlink_olsr::routing::RoutingTable;
+use trustlink_olsr::routing::{Route, RoutingTable};
 use trustlink_olsr::state::{DuplicateSet, TopologySet, TwoHopSet};
 use trustlink_olsr::types::{SequenceNumber, Willingness};
 use trustlink_sim::{NodeId, SimDuration, SimTime};
@@ -53,6 +55,56 @@ fn candidates_with_duplicates() -> impl Strategy<Value = Vec<MprCandidate>> {
             })
             .collect()
     })
+}
+
+/// A node id from three narrow bands: small, just past 16 bits, and at the
+/// top of the 32-bit range. Narrow bands make ids repeat, so the graphs
+/// connect; the far bands are ids a forged HELLO or TC can name.
+fn route_id() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..8, 65_530u32..65_540, (u32::MAX - 7)..=u32::MAX]
+}
+
+/// Reference route calculation: a `BTreeMap` adjacency filled in the same
+/// push order as [`RoutingTable::compute_avoiding`], then a plain FIFO BFS.
+fn reference_routes(
+    me: NodeId,
+    sym: &[NodeId],
+    two_hop: &TwoHopSet,
+    topology: &TopologySet,
+    now: SimTime,
+    avoid: Option<NodeId>,
+) -> Vec<Route> {
+    let mut adj: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for &n in sym {
+        if Some(n) != avoid && n != me {
+            adj.entry(me).or_default().push(n);
+        }
+    }
+    let mut relayed = |a: NodeId, b: NodeId| {
+        if a != me && b != me && a != b && Some(a) != avoid && Some(b) != avoid {
+            adj.entry(a).or_default().push(b);
+            adj.entry(b).or_default().push(a);
+        }
+    };
+    for pair in two_hop.iter(now) {
+        relayed(pair.via, pair.two_hop);
+    }
+    for t in topology.iter(now) {
+        relayed(t.last_hop, t.dest);
+    }
+    let mut reached: BTreeMap<NodeId, Route> = BTreeMap::new();
+    let mut queue = VecDeque::from([(me, me, 0)]);
+    while let Some((u, first, hops)) = queue.pop_front() {
+        for &v in adj.get(&u).into_iter().flatten() {
+            if v == me || reached.contains_key(&v) {
+                continue;
+            }
+            let next_hop = if u == me { v } else { first };
+            reached.insert(v, Route { dest: v, next_hop, hops: hops + 1 });
+            queue.push_back((v, next_hop, hops + 1));
+        }
+    }
+    reached.into_values().collect()
 }
 
 proptest! {
@@ -203,6 +255,42 @@ proptest! {
         for route in table.iter() {
             prop_assert!(route.next_hop != avoided);
             prop_assert!(route.dest != avoided);
+        }
+    }
+
+    #[test]
+    fn routing_matches_reference_bfs(
+        me in route_id(),
+        sym in proptest::collection::vec(route_id(), 0..6),
+        pairs in proptest::collection::vec((route_id(), route_id(), 0u64..3), 0..12),
+        tcs in proptest::collection::vec(
+            (route_id(), proptest::collection::vec(route_id(), 0..4), 0u64..3),
+            0..10,
+        ),
+        avoid in route_id(),
+    ) {
+        // Expiries 9 s and 10 s are dead at `now`, 11 s is live. Cases run
+        // back to back on one thread, so the shared scratch sees graphs
+        // shrink and grow between calls.
+        let now = SimTime::from_secs(10);
+        let me = NodeId(me);
+        let sym: Vec<NodeId> = sym.into_iter().map(NodeId).collect();
+        let mut two_hop = TwoHopSet::default();
+        for &(via, th, t) in &pairs {
+            two_hop.upsert(NodeId(via), NodeId(th), SimTime::from_secs(9 + t), SimTime::ZERO);
+        }
+        let mut topo = TopologySet::default();
+        for (last_hop, dests, t) in &tcs {
+            let dests: Vec<NodeId> = dests.iter().map(|&d| NodeId(d)).collect();
+            topo.apply_tc(NodeId(*last_hop), 1, &dests, SimTime::from_secs(9 + t), SimTime::ZERO);
+        }
+        let mut reused = RoutingTable::default();
+        for avoid in [None, Some(NodeId(avoid))] {
+            let expected = reference_routes(me, &sym, &two_hop, &topo, now, avoid);
+            let fresh = RoutingTable::compute_avoiding(me, &sym, &two_hop, &topo, now, avoid);
+            prop_assert_eq!(fresh.iter().copied().collect::<Vec<_>>(), expected.clone());
+            RoutingTable::compute_avoiding_into(&mut reused, me, &sym, &two_hop, &topo, now, avoid);
+            prop_assert_eq!(reused.iter().copied().collect::<Vec<_>>(), expected);
         }
     }
 

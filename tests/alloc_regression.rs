@@ -13,7 +13,9 @@
 //! (payload cloned from a shared `Bytes`, default batch drain, no logs):
 //! the guard measures the *engine's* steady state, not the protocol's.
 //! A second guard pins the `neighbors_in_range_into` query: range queries
-//! into a caller-owned buffer must not allocate either.
+//! into a caller-owned buffer must not allocate either. A third pins route
+//! calculation: once the thread's routing scratch has grown to the graph,
+//! recomputing into a reused table allocates nothing.
 //!
 //! The count is thread-scoped: only allocations made by the measuring
 //! thread inside its measured region are counted, so test threads running
@@ -24,6 +26,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
+use trustlink_olsr::routing::RoutingTable;
+use trustlink_olsr::state::{TopologySet, TwoHopSet};
 use trustlink_sim::prelude::*;
 use trustlink_sim::{topologies, Application, TimerToken};
 
@@ -180,5 +184,60 @@ fn neighbor_queries_into_a_buffer_allocate_nothing() {
         during, 0,
         "neighbors_in_range_into allocated {during} times across {total} neighbor hits; \
          the into-buffer query must reuse the caller's storage"
+    );
+}
+
+#[test]
+fn warm_route_calculation_allocates_nothing() {
+    // An 8x8 grid learned from TCs, plus 2-hop pairs and an advertised id
+    // at the top of the 32-bit range.
+    let (live, now) = (SimTime::from_secs(100), SimTime::from_secs(1));
+    let mut topology = TopologySet::default();
+    for id in 0..64u32 {
+        let mut dests = Vec::new();
+        if id % 8 != 7 {
+            dests.push(NodeId(id + 1));
+        }
+        if id < 56 {
+            dests.push(NodeId(id + 8));
+        }
+        topology.apply_tc(NodeId(id), 1, &dests, live, now);
+    }
+    topology.apply_tc(NodeId(63), 2, &[NodeId(u32::MAX - 1)], live, now);
+    let mut two_hop = TwoHopSet::default();
+    two_hop.upsert(NodeId(1), NodeId(2), live, now);
+    two_hop.upsert(NodeId(8), NodeId(16), live, now);
+    let sym = [NodeId(1), NodeId(8)];
+
+    let mut table = RoutingTable::default();
+    let run = |table: &mut RoutingTable, avoid| {
+        RoutingTable::compute_avoiding_into(
+            table,
+            NodeId(0),
+            &sym,
+            &two_hop,
+            &topology,
+            now,
+            avoid,
+        );
+        table.len()
+    };
+    // Warm-up: grow the thread's scratch and the table to the graph.
+    assert_eq!(run(&mut table, None), 64);
+
+    let (routes, during) = allocs_during(|| {
+        let mut routes = 0;
+        for _ in 0..16 {
+            routes += run(&mut table, None);
+            routes += run(&mut table, Some(NodeId(9)));
+        }
+        routes
+    });
+
+    assert!(routes > 1_000, "graph too small to be meaningful: {routes} routes");
+    assert_eq!(
+        during, 0,
+        "warm route calculation allocated {during} times across {routes} routes; \
+         the shared scratch and the reused table must cover it"
     );
 }

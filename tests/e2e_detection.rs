@@ -54,6 +54,21 @@ fn phantom_spoofer_detected_from_centre() {
 }
 
 #[test]
+fn phantom_with_a_hostile_id_is_detected() {
+    // The spoofed id sits at the top of the 32-bit range. Every node routes
+    // over it once the forged link floods, so route calculation must size
+    // its scratch by the graph, not by the largest id.
+    let report = ScenarioBuilder::new(202, 9)
+        .topology(Topology::Grid { cols: 3, spacing: 100.0 })
+        .detector(fast_detector())
+        .attacker(4, spoof_phantom(u32::MAX - 1))
+        .duration(SimDuration::from_secs(90))
+        .run();
+    assert!(report.detected(NodeId(4)));
+    assert!(report.false_positives().is_empty());
+}
+
+#[test]
 fn investigation_detours_reuse_cached_routes() {
     // Every witness request and answer routes around the suspect. A node
     // computes its table around one suspect once per routing epoch and
